@@ -53,6 +53,12 @@
 #                  >= 4-core machine) if no multi-shard min-cut row
 #                  beats the 1-shard baseline (the CI bench-multicore
 #                  job)
+#   make perf-smoke — wall-clock benchmark correctness gate: one
+#                  1-second srv6perf run per workload (lab-endbpf,
+#                  waxman-fwd, hybrid-wrr) at the reference seed; each
+#                  must report "correct":true and "failed":0, i.e. its
+#                  modeled fingerprints match srv6perf/reference.json
+#                  (the CI bench job)
 #   make fmt     — gofmt the tree
 
 GO ?= go
@@ -67,7 +73,7 @@ BURST ?= 32
 MULTICORE_JSON ?= MULTICORE.json
 MULTICORE_WINDOW ?= 20ms
 
-.PHONY: check build vet test race race-smoke fuzz-smoke fuzz-native fuzz-deep fuzz-deep-race chaos-smoke obs-smoke pdr-smoke matrix-smoke bench bench-json bench-ci bench-multicore fmt
+.PHONY: check build vet test race race-smoke fuzz-smoke fuzz-native fuzz-deep fuzz-deep-race chaos-smoke obs-smoke pdr-smoke matrix-smoke bench bench-json bench-ci bench-multicore perf-smoke fmt
 
 check: build vet test race-smoke fuzz-smoke fuzz-native obs-smoke pdr-smoke matrix-smoke
 
@@ -162,6 +168,18 @@ bench-ci:
 # cores, speedup_vs_1shard > 1 on some multi-shard min-cut row).
 bench-multicore:
 	$(GO) run ./cmd/srv6bench -multicore-json $(MULTICORE_JSON) -shard-duration $(MULTICORE_WINDOW)
+
+# srv6perf's last output line is its JSON verdict. A schedule change
+# in the event core (or anywhere else) that moves a seed-1 fingerprint
+# away from srv6perf/reference.json turns "correct" false; no tier-1
+# test compares those fingerprints.
+perf-smoke:
+	@for w in lab-endbpf waxman-fwd hybrid-wrr; do \
+		line=$$(bash srv6perf/run.sh --workload $$w --seed 1 --seconds 1 --trace 0 | tail -n 1) || exit 1; \
+		echo "$$w: $$line"; \
+		echo "$$line" | grep -q '"correct":true' && echo "$$line" | grep -Eq '"failed":0[,}]' || \
+			{ echo "perf-smoke: $$w is not correct:true with failed:0" >&2; exit 1; }; \
+	done
 
 fmt:
 	gofmt -w .

@@ -125,7 +125,7 @@ func (i *Iface) setOneEnd(up bool) {
 }
 
 // xmsg is a cross-shard packet delivery in data form: everything
-// needed to rebuild the delivery event at the destination. Keeping
+// needed to enqueue the delivery at the destination. Keeping
 // cross-shard messages as data rather than closures lets the
 // optimistic engine compare a rolled-back shard's re-emissions
 // against the originals (lazy cancellation) — identical re-sends
@@ -146,34 +146,6 @@ func (m *xmsg) key() msgKey { return msgKey{m.at, m.schedAt, m.src, m.k} }
 func (m *xmsg) same(o *xmsg) bool {
 	return m.at == o.at && m.schedAt == o.schedAt && m.src == o.src && m.k == o.k &&
 		m.peer == o.peer && m.epoch == o.epoch && string(m.raw) == string(o.raw)
-}
-
-// event builds the delivery event for a cross-shard message: the
-// packet bytes are shared with the optimistic engine's input log, so
-// the receiver must treat them as immutable. A failure between
-// transmission and delivery cuts the wire under the packet: it is
-// lost even if the link has since been restored. Both ends' epochs
-// advance at the same virtual instants, so the receiving end's epoch
-// stands in for the sender's, keeping the delivery event inside its
-// own shard's state. The event is pure data (evDeliver) — no closure
-// allocation on the packet hot path.
-func (m *xmsg) event() event {
-	return event{
-		at: m.at, schedAt: m.schedAt, src: m.src, k: m.k,
-		kind: evDeliver, peer: m.peer, epoch: m.epoch, raw: m.raw,
-		cross: true,
-	}
-}
-
-// eventLocal builds the delivery event for a same-shard transmission,
-// stamping the shard's current checkpoint count so the receive path
-// can tell whether any retained checkpoint could share the bytes.
-func (m *xmsg) eventLocal(ckptSeq uint64) event {
-	return event{
-		at: m.at, schedAt: m.schedAt, src: m.src, k: m.k,
-		kind: evDeliver, peer: m.peer, epoch: m.epoch, raw: m.raw,
-		ckptSeq: ckptSeq,
-	}
 }
 
 // Transmit serialises raw onto the link; the peer node receives it
@@ -234,22 +206,24 @@ func (i *Iface) Transmit(raw []byte) {
 // send routes one admitted packet delivery to the peer, carrying the
 // deterministic event key and the era in which the buffer last became
 // private (see Transmit for why the era matters under speculation).
+// The delivery is pure data (evDeliver) — no closure allocation on the
+// packet hot path.
 func (i *Iface) send(raw []byte, deliverAt, now int64, era uint64) {
 	n := i.Node
 	n.schedK++
-	m := xmsg{
-		at: deliverAt, schedAt: now, src: n.idx, k: n.schedK,
-		peer: i.peer, epoch: i.failEpoch, raw: raw,
-	}
 	if i.peer.Node.shard == n.shard {
 		// Stamp the era in which this packet's buffer last became
 		// private (set at drain/Output), NOT the current one: a
 		// checkpoint taken while the packet waited in the pending
-		// commit closure has captured the buffer via the heap copy,
-		// and the older stamp is what forces the receiving drain to
-		// copy before mutating it.
-		n.shard.heap.push(m.eventLocal(era))
+		// commit has captured the buffer, and the older stamp is what
+		// forces the receiving drain to copy before mutating it.
+		b := n.shard.events.push(deliverAt, now, n.idx, n.schedK)
+		b.kind, b.peer, b.epoch, b.raw, b.ckptSeq = evDeliver, i.peer, i.failEpoch, raw, era
 		return
+	}
+	m := xmsg{
+		at: deliverAt, schedAt: now, src: n.idx, k: n.schedK,
+		peer: i.peer, epoch: i.failEpoch, raw: raw,
 	}
 	if n.Sim.engine == EngineOptimistic {
 		// The message must own its bytes: if this delivery survives a

@@ -73,7 +73,7 @@ const (
 // pendingCommit is the deferred effect of one routed packet plus the
 // packet's metadata. Node.pending carries it from a drain event to
 // the drain continuation and is checkpointed with the node — the raw
-// bytes it may share with heap events are guarded by the same pktEra
+// bytes it may share with queued events are guarded by the same pktEra
 // machinery that guards the events themselves. Node.outPending is the
 // intra-event twin for the Output path (routed and committed inside
 // one event, so never checkpointed).
@@ -523,7 +523,7 @@ func (n *Node) Schedule(at int64, fn func()) {
 	}
 	n.dirty = true
 	n.schedK++
-	sh.push(event{at: at, schedAt: sh.now, src: n.idx, k: n.schedK, fn: fn})
+	sh.events.push(at, sh.now, n.idx, n.schedK).fn = fn
 }
 
 // After runs fn d nanoseconds from the node's now on its shard.
@@ -783,7 +783,7 @@ func (n *Node) drain() {
 		(item.cross || item.ckptSeq != n.shard.ckptSeq) {
 		// Processing mutates packet bytes in place (SRH advance, hop
 		// limit). Under speculation the bytes may be shared with
-		// rollback state — a checkpoint snapshot (heap closure or ring
+		// rollback state — a checkpoint snapshot (event body or ring
 		// item) when a checkpoint intervened since the buffer last
 		// became private, or the cross-shard input log — so such hops
 		// work on a private copy and the shared original stays
@@ -840,10 +840,8 @@ func (n *Node) scheduleDrainCont(d int64) {
 	sh := n.shard
 	n.dirty = true
 	n.schedK++
-	sh.push(event{
-		at: sh.now + d, schedAt: sh.now, src: n.idx, k: n.schedK,
-		kind: evDrainCont, epoch: n.crashEpoch,
-	})
+	b := sh.events.push(sh.now+d, sh.now, n.idx, n.schedK)
+	b.kind, b.epoch = evDrainCont, n.crashEpoch
 }
 
 // drainCont is the drain continuation: apply the previous packet's

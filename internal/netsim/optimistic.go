@@ -10,12 +10,12 @@ package netsim
 //   - periodically (every round while speculation thrashes, up to 64
 //     rounds apart while it is clean — the checkpoint stride is set
 //     by the adaptive controller in horizon.go) each shard with
-//     runnable work takes a checkpoint — a value copy of its event
-//     heap plus, incrementally, the state of every node dirtied
-//     since its last snapshot (receive rings, counters, interface
-//     and qdisc state, FIB round-robin cursors, per-node RNG
-//     streams, registered ShardState hooks); clean nodes alias the
-//     previous checkpoint's immutable snapshot;
+//     runnable work takes a checkpoint — a copy of its event queue
+//     (keys, body slab, free list) plus, incrementally, the state of
+//     every node dirtied since its last snapshot (receive rings,
+//     counters, interface and qdisc state, FIB round-robin cursors,
+//     per-node RNG streams, registered ShardState hooks); clean nodes
+//     alias the previous checkpoint's immutable snapshot;
 //   - shards then execute the window [GVT, GVT+horizon) concurrently
 //     (the horizon adapts to the observed rollback rate unless
 //     SetHorizon pinned it), buffering cross-shard packets in
@@ -27,24 +27,26 @@ package netsim
 //     since (kept in a per-shard input log), and cancels every
 //     cross-shard message it sent from the rolled-back rounds by
 //     emitting anti-messages, which annihilate their positives in the
-//     receivers' heaps, logs and snapshots — recursively rolling
+//     receivers' queues, logs and snapshots — recursively rolling
 //     receivers back when the positive already executed;
 //   - GVT (global virtual time), the minimum pending event time once
-//     all messages are in heaps, bounds rollback depth: checkpoints
+//     all messages are in queues, bounds rollback depth: checkpoints
 //     and log entries older than the newest checkpoint at or below
 //     GVT are discarded.
 //
 // Because every event carries the deterministic (at, schedAt, src, k)
 // key, committed execution replays the sequential schedule exactly:
 // the same seed yields bit-identical counters and delivery traces
-// whether a topology runs on one heap, conservatively sharded, or
+// whether a topology runs on one queue, conservatively sharded, or
 // optimistically sharded (locked by TestShardEquivalence* and the
 // randomized TestShardEquivalenceFuzz).
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
+	"unsafe"
 
 	"srv6bpf/internal/netem"
 )
@@ -144,8 +146,8 @@ func (s *randSource) Int63() int64 { return int64(s.Uint64() >> 1) }
 func (s *randSource) Seed(seed int64) { s.state = uint64(seed) }
 
 // msgKey is an event's globally unique deterministic identity: the
-// same tuple that orders the heap. Anti-messages carry it to name the
-// positive they annihilate.
+// same tuple that orders the event queue. Anti-messages carry it to
+// name the positive they annihilate.
 type msgKey struct {
 	at, schedAt int64
 	src         int32
@@ -213,9 +215,8 @@ type nodeSnap struct {
 
 // Approximate in-memory sizes for checkpoint-byte accounting (Go
 // struct layouts; exactness is not required, stability across rounds
-// is).
+// is). The event queue's share is exact: eventQueue.sizeBytes.
 const (
-	eventBytes    = 96  // event value in the heap slice
 	rxItemBytes   = 48  // rxItem excluding the packet bytes
 	nodeSnapBytes = 176 // nodeSnap header: scalars + pendingCommit + slice headers
 	ifaceSnapHdr  = 64  // ifaceSnap excluding the qdisc snapshot
@@ -239,11 +240,11 @@ func (s *nodeSnap) sizeBytes() uint64 {
 // checkpoint is one shard's state at the start of a round: everything
 // needed to re-execute speculation from scratch.
 type checkpoint struct {
-	round uint64
-	time  int64 // execution frontier (execTo) when taken
-	now   int64 // shard clock when taken
-	heap  eventHeap
-	nodes []nodeSnap
+	round  uint64
+	time   int64 // execution frontier (execTo) when taken
+	now    int64 // shard clock when taken
+	events eventQueue
+	nodes  []nodeSnap
 }
 
 // snapshot captures the node's full mutable state. It runs on the
@@ -408,14 +409,14 @@ func (n *Node) restoreRouteCounters(vals []uint64) {
 func (sh *shard) takeCheckpoint(round uint64) {
 	sh.ckptSeq++
 	c := &checkpoint{round: round, time: sh.execTo, now: sh.now}
-	c.heap = append(eventHeap(nil), sh.heap...)
+	c.events = sh.events.clone()
 	c.nodes = make([]nodeSnap, len(sh.nodes))
 	var prev *checkpoint
 	if len(sh.ckpts) > 0 {
 		prev = sh.ckpts[len(sh.ckpts)-1]
 	}
-	var copied, aliased, bytes uint64
-	bytes += eventBytes * uint64(len(c.heap))
+	var copied, aliased uint64
+	bytes := c.events.sizeBytes()
 	for i, n := range sh.nodes {
 		if prev != nil && !n.dirty {
 			c.nodes[i] = prev.nodes[i]
@@ -441,7 +442,7 @@ func (sh *shard) takeCheckpoint(round uint64) {
 // node's live state now equals its checkpointed snapshot, so dirty
 // bits clear: the next checkpoint may alias these snapshots again.
 func (sh *shard) restoreCheckpoint(c *checkpoint) {
-	sh.heap = append(sh.heap[:0], c.heap...)
+	sh.events.restore(&c.events)
 	for i, n := range sh.nodes {
 		n.restore(c.nodes[i])
 		n.dirty = false
@@ -450,19 +451,42 @@ func (sh *shard) restoreCheckpoint(c *checkpoint) {
 	sh.now = c.now
 }
 
-// removeKey deletes the event with the given key from the heap,
-// reporting whether it was present.
-func (h *eventHeap) removeKey(key msgKey) bool {
-	s := *h
-	for i := range s {
-		if s[i].at == key.at && s[i].schedAt == key.schedAt &&
-			s[i].src == key.src && s[i].k == key.k {
-			n := len(s) - 1
-			s[i] = s[n]
-			s[n] = event{}
-			*h = s[:n]
+// clone returns a deep copy of the queue for a checkpoint.
+func (q *eventQueue) clone() eventQueue {
+	return eventQueue{keys: slices.Clone(q.keys), slab: slices.Clone(q.slab), free: slices.Clone(q.free)}
+}
+
+// restore overwrites the queue with checkpoint c, which stays
+// reusable. Slab slots past c's length are zeroed before truncation so
+// the backing array retains no rolled-back bodies.
+func (q *eventQueue) restore(c *eventQueue) {
+	q.keys = append(q.keys[:0], c.keys...)
+	if len(q.slab) > len(c.slab) {
+		clear(q.slab[len(c.slab):])
+	}
+	q.slab = append(q.slab[:0], c.slab...)
+	q.free = append(q.free[:0], c.free...)
+}
+
+// sizeBytes is the memory a clone of the queue copies.
+func (q *eventQueue) sizeBytes() uint64 {
+	return uint64(len(q.keys))*uint64(unsafe.Sizeof(evKey{})) +
+		uint64(len(q.slab))*uint64(unsafe.Sizeof(evBody{})) +
+		uint64(len(q.free))*uint64(unsafe.Sizeof(uint32(0)))
+}
+
+// removeKey deletes the event with the given key from the queue,
+// freeing its slot, and reports whether it was present.
+func (q *eventQueue) removeKey(key msgKey) bool {
+	for i := range q.keys {
+		k := &q.keys[i]
+		if k.at == key.at && k.schedAt == key.schedAt && k.src == key.src && k.k == key.k {
+			q.release(k.slot)
+			n := len(q.keys) - 1
+			last := q.keys[n]
+			q.keys = q.keys[:n]
 			if i < n {
-				h.fix(i)
+				q.fix(i, last)
 			}
 			return true
 		}
@@ -470,37 +494,13 @@ func (h *eventHeap) removeKey(key msgKey) bool {
 	return false
 }
 
-// fix restores the heap invariant around index i after its element
-// was replaced.
-func (h *eventHeap) fix(i int) {
-	s := *h
-	j := i
-	for j > 0 {
-		p := (j - 1) / 2
-		if !s.less(j, p) {
-			break
-		}
-		s[j], s[p] = s[p], s[j]
-		j = p
-	}
-	if j != i {
-		return
-	}
-	n := len(s)
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && s.less(l, smallest) {
-			smallest = l
-		}
-		if r < n && s.less(r, smallest) {
-			smallest = r
-		}
-		if smallest == i {
-			return
-		}
-		s[i], s[smallest] = s[smallest], s[i]
-		i = smallest
+// fix places key at hole i, sifting whichever way restores the heap
+// invariant.
+func (q *eventQueue) fix(i int, key evKey) {
+	if i > 0 && key.before(&q.keys[(i-1)/2]) {
+		q.siftUp(i, key)
+	} else {
+		q.siftDown(i, key)
 	}
 }
 
@@ -557,7 +557,7 @@ func (s *Sim) runOptimistic(limit int64) {
 		s.running = true
 		for _, sh := range s.shards {
 			sh := sh
-			if len(sh.heap) == 0 || sh.heap[0].at >= end {
+			if sh.events.nextAt() >= end {
 				continue
 			}
 			wg.Add(1)
@@ -621,7 +621,8 @@ func (s *Sim) exchangeOptimistic() {
 			for i := range msgs {
 				s.pending = append(s.pending, pendingMsg{src: si, dst: d, m: msgs[i]})
 			}
-			src.out[d] = src.out[d][:0]
+			clear(msgs)
+			src.out[d] = msgs[:0]
 		}
 	}
 	i := 0
@@ -661,7 +662,7 @@ func (s *Sim) exchangeOptimistic() {
 				s.rollbackShard(dst, pm.m.at)
 				continue // drain fresh anti-messages, then re-examine pm
 			}
-			dst.heap.push(pm.m.event())
+			dst.events.pushCross(&pm.m)
 			dst.inLog = append(dst.inLog, inputRec{round: s.round, m: pm.m})
 			sender.sentLog = append(sender.sentLog, sentRec{dst: pm.dst, m: pm.m})
 			i++
@@ -670,7 +671,7 @@ func (s *Sim) exchangeOptimistic() {
 		// Every message processed: sweep tentative entries their
 		// senders can no longer reproduce — the frontier re-executed
 		// past the emission time without matching them, or no event at
-		// or below the emission time remains in the sender's heap (the
+		// or below the emission time remains in the sender's queue (the
 		// emitter chain itself was annihilated). Those deliveries never
 		// happen in the repaired history. Sweeping a send a later
 		// fresh execution re-emits after all is sound: the re-emission
@@ -682,17 +683,16 @@ func (s *Sim) exchangeOptimistic() {
 			}
 			// Skip the scan when no entry can be stale: every emission
 			// time is ≥ the cached minimum, so if the frontier has not
-			// passed the minimum and the heap still holds an event at
+			// passed the minimum and the queue still holds an event at
 			// or below it, all three staleness conditions fail for
 			// every entry.
-			if tm := sh.tentMinSchedAt(); sh.execTo <= tm &&
-				len(sh.heap) > 0 && sh.heap[0].at <= tm {
+			if tm := sh.tentMinSchedAt(); sh.execTo <= tm && sh.events.nextAt() <= tm {
 				continue
 			}
 			keep := sh.tentative[:0]
 			newMin := int64(math.MaxInt64)
 			for _, t := range sh.tentative {
-				if t.m.schedAt < sh.execTo || len(sh.heap) == 0 || sh.heap[0].at > t.m.schedAt {
+				if t.m.schedAt < sh.execTo || sh.events.nextAt() > t.m.schedAt {
 					s.antiq = append(s.antiq, t)
 					stale = true
 				} else {
@@ -709,6 +709,7 @@ func (s *Sim) exchangeOptimistic() {
 			break
 		}
 	}
+	clear(s.pending)
 	s.pending = s.pending[:0]
 }
 
@@ -762,7 +763,7 @@ func (sh *shard) findTentative(key msgKey) int {
 }
 
 // annihilate removes the delivered positive message named by a from
-// its destination, wherever it is: queued in the live heap, logged as
+// its destination, wherever it is: queued in the live queue, logged as
 // an input, or captured inside retained checkpoint snapshots. If the
 // destination already executed it, the destination rolls back first.
 func (s *Sim) annihilate(a sentRec) {
@@ -778,13 +779,13 @@ func (s *Sim) annihilate(a sentRec) {
 	if key.at < sh.execTo {
 		s.rollbackShard(sh, key.at)
 	}
-	sh.heap.removeKey(key)
+	sh.events.removeKey(key)
 	for _, c := range sh.ckpts {
-		c.heap.removeKey(key)
+		c.events.removeKey(key)
 	}
 	// Cascade: tentative sends the destination emitted while executing
 	// the annihilated event can never be reproduced — their emitter
-	// just vanished from its heap, so the stale sweep (which watches
+	// just vanished from its queue, so the stale sweep (which watches
 	// the execution frontier) would miss them and the GVT floor would
 	// lose track of them. Emissions carry their emitter's execution
 	// time as schedAt; cancelling every tentative send at that instant
@@ -840,7 +841,7 @@ func (s *Sim) rollbackShard(sh *shard, t int64) {
 			if in.m.at < c.time {
 				panic("netsim: optimistic input log entry below its restored checkpoint")
 			}
-			sh.heap.push(in.m.event())
+			sh.events.pushCross(&in.m)
 		}
 	}
 	keep := sh.sentLog[:0]

@@ -8,6 +8,7 @@ package netsim
 
 import (
 	"fmt"
+	"math/rand"
 	"net/netip"
 	"reflect"
 	"strings"
@@ -142,29 +143,165 @@ func TestJournalRollback(t *testing.T) {
 	}
 }
 
-// TestHeapRemoveKey: annihilation's heap surgery preserves the heap
-// property and removes exactly the named event.
+// TestHeapRemoveKey is a seeded model test of the event queue against
+// a sorted-slice reference: randomly interleaved push, pop, removeKey
+// (on the live queue and on a checkpoint, as annihilation does),
+// checkpoint clone and restore. Pops must come out in full
+// (at, schedAt, src, k) order; each body must stay with its key while
+// slots are freed and reused; and every free slot — and every slab
+// entry past the live length — must be zero, so the queue retains no
+// packet bytes or closures of events it no longer holds.
 func TestHeapRemoveKey(t *testing.T) {
-	var h eventHeap
-	for i := 0; i < 50; i++ {
-		h.push(event{at: int64((i * 37) % 60), schedAt: int64(i), src: 1, k: uint64(i), fn: func() {}})
+	type refEv struct {
+		key msgKey
+		id  uint64
 	}
-	if !h.removeKey(msgKey{at: int64((25 * 37) % 60), schedAt: 25, src: 1, k: 25}) {
-		t.Fatal("key not found")
-	}
-	if h.removeKey(msgKey{at: 0, schedAt: 999, src: 9, k: 9}) {
-		t.Fatal("removed a key that was never pushed")
-	}
-	var prev event
-	for i := 0; len(h) > 0; i++ {
-		e := h.pop()
-		if i > 0 && e.before(&prev) {
-			t.Fatalf("heap order violated after removeKey at pop %d", i)
+	less := func(a, b msgKey) bool {
+		switch {
+		case a.at != b.at:
+			return a.at < b.at
+		case a.schedAt != b.schedAt:
+			return a.schedAt < b.schedAt
+		case a.src != b.src:
+			return a.src < b.src
 		}
-		if e.src == 1 && e.k == 25 {
-			t.Fatal("removed event still popped")
+		return a.k < b.k
+	}
+	idBytes := func(id uint64) []byte { return []byte(fmt.Sprintf("pkt-%d", id)) }
+	zero := func(b *evBody) bool {
+		return b.epoch == 0 && b.ckptSeq == 0 && b.fn == nil && b.peer == nil &&
+			b.raw == nil && b.kind == evClosure && !b.cross
+	}
+	check := func(step int, what string, q *eventQueue, ref []refEv) {
+		t.Helper()
+		if len(q.keys) != len(ref) {
+			t.Fatalf("step %d %s: %d keys, reference holds %d", step, what, len(q.keys), len(ref))
 		}
-		prev = e
+		for i := 1; i < len(q.keys); i++ {
+			if q.keys[i].before(&q.keys[(i-1)/2]) {
+				t.Fatalf("step %d %s: heap order violated at %d", step, what, i)
+			}
+		}
+		ids := make(map[msgKey]uint64, len(ref))
+		for _, r := range ref {
+			ids[r.key] = r.id
+		}
+		used := make([]bool, len(q.slab))
+		for _, k := range q.keys {
+			if used[k.slot] {
+				t.Fatalf("step %d %s: slot %d held twice", step, what, k.slot)
+			}
+			used[k.slot] = true
+			b := &q.slab[k.slot]
+			id, ok := ids[msgKey{k.at, k.schedAt, k.src, k.k}]
+			if !ok || b.epoch != id || string(b.raw) != string(idBytes(id)) {
+				t.Fatalf("step %d %s: key %+v carries body %d/%q, want %d", step, what, k, b.epoch, b.raw, id)
+			}
+		}
+		for _, f := range q.free {
+			if used[f] {
+				t.Fatalf("step %d %s: slot %d both free and held", step, what, f)
+			}
+			used[f] = true
+			if !zero(&q.slab[f]) {
+				t.Fatalf("step %d %s: free slot %d retains %+v", step, what, f, q.slab[f])
+			}
+		}
+		for i, u := range used {
+			if !u {
+				t.Fatalf("step %d %s: slot %d neither free nor held", step, what, i)
+			}
+		}
+		for i, b := range q.slab[len(q.slab):cap(q.slab)] {
+			if !zero(&b) {
+				t.Fatalf("step %d %s: slab tail entry %d retains %+v", step, what, len(q.slab)+i, b)
+			}
+		}
+	}
+	minRef := func(ref []refEv) int {
+		m := 0
+		for i := range ref {
+			if less(ref[i].key, ref[m].key) {
+				m = i
+			}
+		}
+		return m
+	}
+	remove := func(ref []refEv, i int) []refEv { return append(ref[:i:i], ref[i+1:]...) }
+
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var q eventQueue
+		var ref []refEv
+		var ckpt *eventQueue
+		var ckptRef []refEv
+		nextID := uint64(1)
+		noop := func() {}
+		for step := 0; step < 3000; step++ {
+			switch op := rng.Intn(20); {
+			case op < 9: // push
+				id := nextID
+				nextID++
+				// Narrow ranges force ties on at, schedAt and src.
+				key := msgKey{at: rng.Int63n(40), schedAt: rng.Int63n(8), src: int32(rng.Intn(4)) - 1, k: id}
+				b := q.push(key.at, key.schedAt, key.src, key.k)
+				b.epoch, b.raw = id, idBytes(id)
+				if id%3 == 0 {
+					b.fn = noop
+				} else {
+					b.kind, b.peer, b.ckptSeq, b.cross = evDeliver, &Iface{}, id, id%2 == 0
+				}
+				ref = append(ref, refEv{key, id})
+			case op < 14: // pop
+				if len(ref) == 0 {
+					continue
+				}
+				m := minRef(ref)
+				want := ref[m]
+				ref = remove(ref, m)
+				k, b := q.pop()
+				if got := (msgKey{k.at, k.schedAt, k.src, k.k}); got != want.key {
+					t.Fatalf("seed %d step %d: popped %+v, want %+v", seed, step, got, want.key)
+				}
+				if b.epoch != want.id || string(b.raw) != string(idBytes(want.id)) {
+					t.Fatalf("seed %d step %d: key of %d popped body %d/%q", seed, step, want.id, b.epoch, b.raw)
+				}
+			case op < 16: // removeKey: present, or never pushed
+				if len(ref) == 0 || rng.Intn(4) == 0 {
+					if q.removeKey(msgKey{at: 0, schedAt: 0, src: 9, k: 0}) {
+						t.Fatalf("seed %d step %d: removed a key that was never pushed", seed, step)
+					}
+					continue
+				}
+				i := rng.Intn(len(ref))
+				if !q.removeKey(ref[i].key) {
+					t.Fatalf("seed %d step %d: key %+v not found", seed, step, ref[i].key)
+				}
+				ref = remove(ref, i)
+			case op < 17: // checkpoint
+				c := q.clone()
+				ckpt, ckptRef = &c, append([]refEv(nil), ref...)
+			case op < 18: // annihilate inside the checkpoint
+				if ckpt == nil || len(ckptRef) == 0 {
+					continue
+				}
+				i := rng.Intn(len(ckptRef))
+				if !ckpt.removeKey(ckptRef[i].key) {
+					t.Fatalf("seed %d step %d: checkpoint key %+v not found", seed, step, ckptRef[i].key)
+				}
+				ckptRef = remove(ckptRef, i)
+			default: // restore (the checkpoint stays reusable)
+				if ckpt == nil {
+					continue
+				}
+				q.restore(ckpt)
+				ref = append(ref[:0:0], ckptRef...)
+			}
+			check(step, fmt.Sprintf("seed %d live", seed), &q, ref)
+			if ckpt != nil {
+				check(step, fmt.Sprintf("seed %d checkpoint", seed), ckpt, ckptRef)
+			}
+		}
 	}
 }
 

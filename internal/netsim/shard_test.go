@@ -217,3 +217,46 @@ func TestEngineStatsAccounting(t *testing.T) {
 		t.Fatalf("delivered = %d", got)
 	}
 }
+
+// TestOutboxesReleaseDelivered: once a barrier has moved the
+// cross-shard messages of a window into the destination queues, the
+// outboxes' backing arrays must not keep the delivered packets (their
+// raw buffers and receiving ifaces) alive until a later window
+// overwrites the slots. Every entry up to each outbox's capacity is
+// zero after RunUntil, under both engines.
+func TestOutboxesReleaseDelivered(t *testing.T) {
+	for _, eng := range []Engine{EngineConservative, EngineOptimistic} {
+		s, a, b, _ := shardPairTopo(t, netem.Config{RateBps: 1e10, DelayNs: 10 * Microsecond})
+		j := NewJournal(b)
+		b.HandleUDP(7, func(n *Node, p *packet.Packet, meta *PacketMeta) {
+			j.Add("ping")
+			n.Output(udpTo(t, aAddr, 8, "echo"))
+		})
+		a.HandleUDP(8, func(*Node, *packet.Packet, *PacketMeta) {})
+		if err := s.SetShards(2, eng); err != nil {
+			t.Fatal(err)
+		}
+		for i := int64(0); i < 40; i++ {
+			a.Schedule(i*3*Microsecond, func() { a.Output(udpTo(t, bAddr, 7, "ping")) })
+		}
+		s.RunUntil(Millisecond)
+		if got := len(j.Lines()); got != 40 {
+			t.Fatalf("%v: %d pings delivered, want 40", eng, got)
+		}
+		used := 0
+		for _, sh := range s.shards {
+			for d, out := range sh.out {
+				used += cap(out)
+				for i, m := range out[:cap(out)] {
+					if m.raw != nil || m.peer != nil || m.at != 0 {
+						t.Fatalf("%v: shard %d outbox %d slot %d still holds a delivered message (at=%d, %d bytes)",
+							eng, sh.id, d, i, m.at, len(m.raw))
+					}
+				}
+			}
+		}
+		if used == 0 {
+			t.Fatalf("%v: no outbox was ever used; the test exercises nothing", eng)
+		}
+	}
+}

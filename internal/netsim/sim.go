@@ -12,10 +12,10 @@
 //
 // # Sharded parallel execution
 //
-// By default the simulation runs on one event heap on the calling
-// goroutine, exactly as it always has. Sim.SetShards(n) partitions
-// the nodes into n shards, each with its own event heap, clock and
-// counters, synchronised by one of two engines.
+// By default the simulation runs on one event queue on the calling
+// goroutine. Sim.SetShards(n) partitions the nodes into n shards, each
+// with its own event queue, clock and counters, synchronised by one of
+// two engines.
 //
 // The conservative engine (the default) lock-steps shards in windows
 // of
@@ -50,6 +50,17 @@
 // schedule: the same seed yields identical per-node counters and
 // delivery traces for any shard count and engine (locked by
 // TestShardEquivalence* and the randomized TestShardEquivalenceFuzz).
+//
+// # Event core
+//
+// A shard's event queue is a binary min-heap of 32-byte, pointer-free
+// keys — the ordering tuple plus a slot index — over a slab of event
+// bodies (closure, or delivery/drain-continuation data) with a free
+// list. Scheduling writes the body into a free slot and sifts only the
+// key; executing pops the key, moves the body out and zeroes its slot
+// for reuse. Bodies never move while pending, so heap maintenance
+// copies 32 bytes per step with no write barriers, and the steady-state
+// schedule/execute cycle allocates nothing.
 package netsim
 
 import (
@@ -69,8 +80,7 @@ const (
 	// evClosure runs fn; the general-purpose event (driver schedules,
 	// timers, NF callbacks).
 	evClosure eventKind = iota
-	// evDeliver delivers raw to peer (the materialised form of what
-	// used to be xmsg.buildEvent's closure).
+	// evDeliver delivers raw to peer.
 	evDeliver
 	// evDrainCont is a node's drain continuation: commit the pending
 	// packet side effects, then pop the next packet. epoch carries the
@@ -80,22 +90,43 @@ const (
 	evDrainCont
 )
 
-// event is one scheduled callback. Events are stored by value in the
-// heap slice: scheduling one packet hop costs no heap object beyond
-// the callback closure itself (and amortised slice growth) — and the
-// packet-path kinds (evDeliver, evDrainCont) not even that.
+// evKey is one pending event's heap entry: its deterministic ordering
+// key plus the slab slot holding its body. The key is 32 bytes with
+// no pointers, so heap sifts move plain words — no write barriers,
+// nothing for the garbage collector to scan.
 //
-// The (at, schedAt, src, k) tuple is the event's deterministic
-// ordering key. schedAt is the virtual time of the Schedule call, src
-// the index of the scheduling node (-1 for driver-level schedules),
-// and k the per-source schedule counter. Unlike a global sequence
-// number, the key does not depend on how shards interleave, so it
-// orders events identically whether the simulation runs on one heap
-// or sixteen.
-type event struct {
+// The (at, schedAt, src, k) tuple orders events. schedAt is the
+// virtual time of the Schedule call, src the index of the scheduling
+// node (-1 for driver-level schedules), and k the per-source schedule
+// counter. Unlike a global sequence number, the key does not depend
+// on how shards interleave, so it orders events identically whether
+// the simulation runs on one heap or sixteen. The slot takes no part
+// in the order.
+type evKey struct {
 	at      int64
 	schedAt int64
 	k       uint64
+	src     int32
+	slot    uint32
+}
+
+// before reports the deterministic execution order between events.
+func (e *evKey) before(o *evKey) bool {
+	if e.at != o.at {
+		return e.at < o.at
+	}
+	if e.schedAt != o.schedAt {
+		return e.schedAt < o.schedAt
+	}
+	if e.src != o.src {
+		return e.src < o.src
+	}
+	return e.k < o.k
+}
+
+// evBody is the payload of one pending event. Bodies live in the
+// queue's slab and never move while their event is pending.
+type evBody struct {
 	// epoch is the iface fail epoch (evDeliver) or the node crash
 	// epoch (evDrainCont).
 	epoch uint64
@@ -105,13 +136,123 @@ type event struct {
 	fn      func()
 	peer    *Iface // evDeliver: receiving link end
 	raw     []byte // evDeliver: packet bytes
-	src     int32
 	kind    eventKind
 	cross   bool // evDeliver: crossed a shard boundary
 }
 
-// exec dispatches one popped event.
-func (s *Sim) exec(e *event) {
+// eventQueue is one shard's pending events: a hand-rolled binary
+// min-heap of keys over a slab of bodies with a free list of slots.
+// Producers write the body straight into its slot (push returns it),
+// and sifts move a hole instead of swapping, so only keys ever move.
+// A popped slot is zeroed before reuse, so the slab retains no packet
+// bytes or closures of executed events.
+type eventQueue struct {
+	keys []evKey
+	slab []evBody
+	free []uint32
+}
+
+// push enqueues an event with the given key and returns its zeroed
+// body (an evClosure with no fn) for the caller to fill. The pointer
+// is valid until the next push.
+func (q *eventQueue) push(at, schedAt int64, src int32, k uint64) *evBody {
+	var slot uint32
+	if n := len(q.free); n > 0 {
+		slot = q.free[n-1]
+		q.free = q.free[:n-1]
+	} else {
+		slot = uint32(len(q.slab))
+		q.slab = append(q.slab, evBody{})
+	}
+	q.keys = append(q.keys, evKey{})
+	q.siftUp(len(q.keys)-1, evKey{at: at, schedAt: schedAt, k: k, src: src, slot: slot})
+	return &q.slab[slot]
+}
+
+// pushCross enqueues the delivery of a cross-shard message. The
+// packet bytes are shared with the optimistic engine's input log, so
+// the receiver must treat them as immutable. A failure between
+// transmission and delivery cuts the wire under the packet: it is
+// lost even if the link has since been restored. Both ends' epochs
+// advance at the same virtual instants, so the receiving end's epoch
+// stands in for the sender's, keeping the delivery inside its own
+// shard's state.
+func (q *eventQueue) pushCross(m *xmsg) {
+	b := q.push(m.at, m.schedAt, m.src, m.k)
+	b.kind, b.peer, b.epoch, b.raw, b.cross = evDeliver, m.peer, m.epoch, m.raw, true
+}
+
+// nextAt returns the earliest pending event time, or MaxInt64 when
+// the queue is empty.
+func (q *eventQueue) nextAt() int64 {
+	if len(q.keys) == 0 {
+		return math.MaxInt64
+	}
+	return q.keys[0].at
+}
+
+// pop removes the earliest event and returns its key and body, freeing
+// the slot.
+func (q *eventQueue) pop() (evKey, evBody) {
+	top := q.keys[0]
+	n := len(q.keys) - 1
+	last := q.keys[n]
+	q.keys = q.keys[:n]
+	if n > 0 {
+		q.siftDown(0, last)
+	}
+	return top, q.release(top.slot)
+}
+
+// release returns a slot's body and frees the slot, zeroed. The
+// fields are cleared one by one: a whole-struct zero compiles to a
+// bulk write barrier while the collector is marking.
+func (q *eventQueue) release(slot uint32) evBody {
+	p := &q.slab[slot]
+	b := *p
+	p.fn, p.peer, p.raw = nil, nil, nil
+	p.epoch, p.ckptSeq, p.kind, p.cross = 0, 0, evClosure, false
+	q.free = append(q.free, slot)
+	return b
+}
+
+// siftUp places key at hole i or above it.
+func (q *eventQueue) siftUp(i int, key evKey) {
+	h := q.keys
+	for i > 0 {
+		p := (i - 1) / 2
+		if !key.before(&h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = key
+}
+
+// siftDown places key at hole i or below it.
+func (q *eventQueue) siftDown(i int, key evKey) {
+	h := q.keys
+	n := len(h)
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && h[r].before(&h[c]) {
+			c = r
+		}
+		if !h[c].before(&key) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = key
+}
+
+// exec dispatches one popped event; src is the key's scheduling node.
+func (s *Sim) exec(src int32, e *evBody) {
 	switch e.kind {
 	case evDeliver:
 		peer := e.peer
@@ -125,74 +266,10 @@ func (s *Sim) exec(e *event) {
 		}
 		peer.Node.deliver(e.raw, peer, e.cross, e.ckptSeq)
 	case evDrainCont:
-		s.nodes[e.src].drainCont(e.epoch)
+		s.nodes[src].drainCont(e.epoch)
 	default:
 		e.fn()
 	}
-}
-
-// before reports the deterministic execution order between events.
-func (e *event) before(o *event) bool {
-	if e.at != o.at {
-		return e.at < o.at
-	}
-	if e.schedAt != o.schedAt {
-		return e.schedAt < o.schedAt
-	}
-	if e.src != o.src {
-		return e.src < o.src
-	}
-	return e.k < o.k
-}
-
-// eventHeap is a hand-rolled binary min-heap over event values,
-// ordered by the event key. Avoiding container/heap avoids both the
-// per-push allocation of the boxed element and the interface-method
-// dispatch per sift step.
-type eventHeap []event
-
-func (h eventHeap) less(i, j int) bool { return h[i].before(&h[j]) }
-
-func (h *eventHeap) push(e event) {
-	*h = append(*h, e)
-	s := *h
-	i := len(s) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !s.less(i, parent) {
-			break
-		}
-		s[i], s[parent] = s[parent], s[i]
-		i = parent
-	}
-}
-
-func (h *eventHeap) pop() event {
-	s := *h
-	top := s[0]
-	n := len(s) - 1
-	s[0] = s[n]
-	s[n] = event{} // release the callback for GC
-	s = s[:n]
-	*h = s
-
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && s.less(l, smallest) {
-			smallest = l
-		}
-		if r < n && s.less(r, smallest) {
-			smallest = r
-		}
-		if smallest == i {
-			break
-		}
-		s[i], s[smallest] = s[smallest], s[i]
-		i = smallest
-	}
-	return top
 }
 
 // Sim is the simulation kernel: a virtual clock, one event queue per
@@ -353,7 +430,7 @@ func (s *Sim) Schedule(at int64, fn func()) {
 		at = now
 	}
 	s.simK++
-	sh.heap.push(event{at: at, schedAt: now, src: driverSrc, k: s.simK, fn: fn})
+	sh.events.push(at, now, driverSrc, s.simK).fn = fn
 }
 
 // After runs fn d nanoseconds from now.
@@ -366,24 +443,24 @@ func (s *Sim) After(d int64, fn func()) { s.Schedule(s.Now()+d, fn) }
 func (s *Sim) Step() bool {
 	if len(s.shards) == 1 {
 		sh := s.shards[0]
-		if len(sh.heap) == 0 {
+		if len(sh.events.keys) == 0 {
 			return false
 		}
-		e := sh.heap.pop()
-		sh.now = e.at
-		if e.at >= sh.execTo {
-			sh.execTo = e.at + 1
+		k, e := sh.events.pop()
+		sh.now = k.at
+		if k.at >= sh.execTo {
+			sh.execTo = k.at + 1
 		}
 		s.engEvents.Inc(0)
-		s.exec(&e)
+		s.exec(k.src, &e)
 		return true
 	}
 	best := -1
 	for i, sh := range s.shards {
-		if len(sh.heap) == 0 {
+		if len(sh.events.keys) == 0 {
 			continue
 		}
-		if best < 0 || sh.heap[0].before(&s.shards[best].heap[0]) {
+		if best < 0 || sh.events.keys[0].before(&s.shards[best].events.keys[0]) {
 			best = i
 		}
 	}
@@ -391,16 +468,16 @@ func (s *Sim) Step() bool {
 		return false
 	}
 	sh := s.shards[best]
-	e := sh.heap.pop()
-	sh.now = e.at
-	if e.at >= sh.execTo {
-		sh.execTo = e.at + 1
+	k, e := sh.events.pop()
+	sh.now = k.at
+	if k.at >= sh.execTo {
+		sh.execTo = k.at + 1
 	}
 	s.engEvents.Inc(sh.id)
-	s.exec(&e)
+	s.exec(k.src, &e)
 	s.flushOutboxes()
-	if e.at > s.now {
-		s.now = e.at
+	if k.at > s.now {
+		s.now = k.at
 	}
 	return true
 }
@@ -425,7 +502,7 @@ func (s *Sim) Run() {
 func (s *Sim) RunUntil(t int64) {
 	if len(s.shards) == 1 {
 		sh := s.shards[0]
-		for len(sh.heap) > 0 && sh.heap[0].at <= t {
+		for len(sh.events.keys) > 0 && sh.events.keys[0].at <= t {
 			s.Step()
 		}
 		if sh.now < t {
@@ -472,10 +549,7 @@ func (s *Sim) scheduleLinkState(at int64, i *Iface, up bool) {
 		}
 		end := end
 		s.simK++
-		end.Node.shard.heap.push(event{
-			at: at, schedAt: now, src: driverSrc, k: s.simK,
-			fn: func() { end.setOneEnd(up) },
-		})
+		end.Node.shard.events.push(at, now, driverSrc, s.simK).fn = func() { end.setOneEnd(up) }
 	}
 }
 
@@ -505,26 +579,20 @@ func (s *Sim) scheduleNodeState(at int64, n *Node, up bool) {
 		at = now
 	}
 	s.simK++
-	n.shard.heap.push(event{
-		at: at, schedAt: now, src: driverSrc, k: s.simK,
-		fn: func() {
-			if up {
-				n.restartNow()
-			} else {
-				n.crashNow()
-			}
-		},
-	})
+	n.shard.events.push(at, now, driverSrc, s.simK).fn = func() {
+		if up {
+			n.restartNow()
+		} else {
+			n.crashNow()
+		}
+	}
 	for _, ifc := range n.ifaces {
 		peer := ifc.peer
 		if peer == nil {
 			continue
 		}
 		s.simK++
-		peer.Node.shard.heap.push(event{
-			at: at, schedAt: now, src: driverSrc, k: s.simK,
-			fn: func() { peer.setOneEnd(up) },
-		})
+		peer.Node.shard.events.push(at, now, driverSrc, s.simK).fn = func() { peer.setOneEnd(up) }
 	}
 }
 
